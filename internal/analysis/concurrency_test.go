@@ -177,7 +177,7 @@ func TestProductionHotPathAnnotated(t *testing.T) {
 	}
 	wantHot := []string{
 		"library.Library.lookup", "library.Library.entryValid",
-		"library.Library.signerEpochOf", "library.Library.shardFor", "library.shard.get",
+		"library.Epochs.Valid", "library.Cache.shardFor", "library.shard.get",
 		"c14n.writeText", "c14n.writeAttrValue",
 		"obs.Recorder.Add", "obs.Recorder.Inc", "obs.Recorder.Observe",
 		"obs.Recorder.Start", "obs.Span.End",

@@ -133,6 +133,6 @@ var blockingSinks = []FuncRef{
 	// Module-local waits: the library's singleflight blocks every
 	// waiter until the fill completes, and a resilience policy sleeps
 	// between attempts.
-	{Pkg: pkgLibrary, Recv: "flightGroup", Name: "do"},
+	{Pkg: pkgLibrary, Recv: "Flight", Name: "Do"},
 	{Pkg: pkgResilience, Recv: "Policy", Name: "Do"},
 }

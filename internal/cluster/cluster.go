@@ -7,21 +7,26 @@
 //
 // Replication preserves the library's content-addressed key: every
 // wire verdict (Record) carries the exclusive-C14N digest it was
-// verified under, the fingerprint of the signing key, and the fleet
+// verified under, the fingerprint of the signing key, and the origin's
 // trust epoch at fill time. An edge only ever serves a record whose
 // digest it has recomputed from the presented bytes, so a verdict that
 // cannot be re-addressed — a wrapped, substituted, or reshuffled
-// document — can never ride a replicated cache entry.
+// document — can never ride a replicated cache entry. Edges keep their
+// records in the library's byte-budgeted cache and collapse concurrent
+// fills with its singleflight, so edge memory is bounded.
 //
-// Trust changes propagate as epoch announcements: a revocation at the
-// origin bumps the fleet epoch and fans it out to every edge; records
-// stamped with an older epoch fail closed (library.ErrTrustChanged) at
-// the next touch. The epoch only moves forward (monotonic CAS), so a
-// delayed or replayed announcement can never roll an edge back onto
-// verdicts a newer revocation already killed. An edge partitioned from
-// its origin degrades per the health state machine — warm serves
-// continue audited while Degraded, then fail closed (ErrPartitioned)
-// once missed heartbeats cross the budget and the component goes Down.
+// The origin and every edge share one trust-epoch model
+// (library.Epochs). Every announcement, heartbeat answer and join
+// carries the origin's recent trust changes, each naming its signers;
+// edges replay them, so revoking signer A kills A's records fleet-wide
+// (they fail closed with library.ErrTrustChanged at the next touch) and
+// leaves every other signer's warm. A change naming no signer, or a gap
+// the log does not cover, applies to every signer; marks only move
+// forward, so a delayed or replayed announcement never revives a killed
+// verdict. An edge
+// partitioned from its origin degrades per the health state machine —
+// warm serves continue audited while Degraded, then fail closed
+// (ErrPartitioned) once missed heartbeats cross the budget.
 package cluster
 
 import (
@@ -29,7 +34,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sync"
 
 	"discsec/internal/library"
 	"discsec/internal/resilience"
@@ -58,21 +62,20 @@ var (
 	ErrKeyMismatch = errors.New("cluster: replicated verdict does not re-address the presented content")
 )
 
-// Status classifies how an edge open was served.
-type Status string
+// Status classifies how an edge open was served (also surfaced in the
+// X-Cluster-Status header): StatusHit from the edge's replicated cache
+// with no wire, StatusMiss filled from the origin, StatusWait shared
+// another in-flight open's fill, or StatusForward.
+type Status = library.Status
 
-// Edge open statuses (also surfaced in the X-Cluster-Status header).
+// Edge open statuses, the library's plus StatusForward.
 const (
-	// StatusHit: served from the edge's replicated cache — no wire.
-	StatusHit Status = "hit"
-	// StatusMiss: this edge filled from the origin.
-	StatusMiss Status = "miss"
+	StatusHit  = library.StatusHit
+	StatusMiss = library.StatusMiss
+	StatusWait = library.StatusWait
 	// StatusForward: the miss was routed to the ring owner of the key,
 	// which filled (or already held) the verdict.
 	StatusForward Status = "forward"
-	// StatusWait: another in-flight open on this edge was already
-	// filling the same digest; this call shared its outcome.
-	StatusWait Status = "singleflight-wait"
 )
 
 // Record is one replicated verdict: the full library cache key
@@ -88,8 +91,9 @@ type Record struct {
 	// SignatureValue (empty for unsigned content, which is never
 	// replicated).
 	Signer string `json:"signer"`
-	// Epoch is the fleet trust epoch read before the fill began; a
-	// record whose epoch lags the announced one is dead.
+	// Epoch is the origin's trust epoch read before the open began; the
+	// record dies once an edge hears of a later trust change naming
+	// Signer or every signer.
 	Epoch uint64 `json:"epoch"`
 	// Degraded marks a verdict filled while the origin's trust service
 	// was degraded (revocation data possibly stale).
@@ -97,6 +101,10 @@ type Record struct {
 	// Signatures is the number of validated signatures.
 	Signatures int `json:"signatures"`
 }
+
+// maxDocument bounds one document an origin verifies or an edge
+// digests.
+const maxDocument = 16 << 20
 
 // Member identifies one edge node: its ring name and base URL.
 type Member struct {
@@ -120,8 +128,12 @@ func writeError(w http.ResponseWriter, err error) {
 		errors.Is(err, context.DeadlineExceeded):
 		w.Header().Set("Retry-After", "1")
 		http.Error(w, msg, http.StatusServiceUnavailable)
-	default:
+	case errors.Is(err, resilience.ErrTransient):
 		http.Error(w, msg, http.StatusBadGateway)
+	default:
+		// The content itself was refused (it failed verification): an
+		// answer, not a link failure, so no fill breaker counts it.
+		http.Error(w, msg, http.StatusUnprocessableEntity)
 	}
 }
 
@@ -133,43 +145,4 @@ func classifyExchange(url string, resp *http.Response) error {
 		return resilience.Transient(fmt.Errorf("cluster: POST %s: %s", url, resp.Status))
 	}
 	return resilience.Terminal(fmt.Errorf("cluster: POST %s: %s", url, resp.Status))
-}
-
-// flightCall is one in-flight fill shared by concurrent callers.
-type flightCall struct {
-	done chan struct{}
-	rd   Record
-	err  error
-}
-
-// flightGroup is a minimal singleflight over Records: concurrent
-// misses for the same digest on one edge share one fill. The zero
-// value is ready to use.
-type flightGroup struct {
-	mu sync.Mutex
-	m  map[string]*flightCall
-}
-
-// do runs fn once per key among concurrent callers; shared reports
-// whether this caller joined an execution another caller led.
-func (g *flightGroup) do(key string, fn func() (Record, error)) (rd Record, err error, shared bool) {
-	g.mu.Lock()
-	if g.m == nil {
-		g.m = make(map[string]*flightCall)
-	}
-	if c, ok := g.m[key]; ok {
-		g.mu.Unlock()
-		<-c.done
-		return c.rd, c.err, true
-	}
-	c := &flightCall{done: make(chan struct{})}
-	g.m[key] = c
-	g.mu.Unlock()
-
-	c.rd, c.err = fn()
-	g.mu.Lock()
-	delete(g.m, key)
-	g.mu.Unlock()
-	close(c.done)
-	return c.rd, c.err, false
 }

@@ -26,6 +26,7 @@ import (
 	"discsec/internal/keymgmt"
 	"discsec/internal/library"
 	"discsec/internal/obs"
+	"discsec/internal/resilience"
 	"discsec/internal/server"
 	"discsec/internal/workload"
 	"discsec/internal/xmldsig"
@@ -494,6 +495,17 @@ func TestEpochAnnouncementsOutOfOrder(t *testing.T) {
 	}
 }
 
+// TestForwardedOpenNeedsItsKey: a ring peer forwards an open under the
+// key it computed; a forward without one is refused, never digested.
+func TestForwardedOpenNeedsItsKey(t *testing.T) {
+	e := cluster.NewEdge("edge-0", "http://self.invalid", "http://origin.invalid")
+	w := httptest.NewRecorder()
+	e.ServeHTTP(w, httptest.NewRequest(http.MethodPost, cluster.PathVerify, strings.NewReader(`<cluster/>`)))
+	if w.Code != http.StatusBadRequest {
+		t.Fatalf("forward without a key returned %d, want 400", w.Code)
+	}
+}
+
 // TestFilledVerdictMustReAddressContent pins the re-addressing
 // guarantee: a fill whose verdict is keyed to anything but the locally
 // recomputed digest of the presented content is rejected, so a
@@ -532,5 +544,347 @@ func TestEdgeRejectsMalformedDocuments(t *testing.T) {
 	_, _, err := e.OpenReader(context.Background(), bytes.NewReader([]byte("<unclosed>")))
 	if !errors.Is(err, library.ErrBadDocument) {
 		t.Fatalf("malformed document returned %v, want ErrBadDocument", err)
+	}
+}
+
+// newSigner issues a further signer under the fleet's root and
+// registers it with the trust service.
+func (f *fleet) newSigner(name string) *keymgmt.Identity {
+	f.t.Helper()
+	root, _ := experiments.PKIFixture()
+	id, err := root.IssueIdentity(name, keymgmt.ECDSAP256)
+	if err != nil {
+		f.t.Fatal(err)
+	}
+	if err := f.svc.Register(name, id.Cert, "pw"); err != nil {
+		f.t.Fatal(err)
+	}
+	return id
+}
+
+// openChecked is one edge open that also pins the status contract: a
+// refused open never reports a cache hit.
+func openChecked(t *testing.T, e *cluster.Edge, doc []byte) (cluster.Record, cluster.Status, error) {
+	t.Helper()
+	rd, st, err := e.OpenReader(context.Background(), bytes.NewReader(doc))
+	if err != nil && st == cluster.StatusHit {
+		t.Errorf("%s: refused open reported status %q (err %v)", e.Name(), st, err)
+	}
+	return rd, st, err
+}
+
+// TestRevokingOneSignerKeepsOthersWarm pins per-signer revocation
+// across the fleet: revoking signer A kills A's records on every edge
+// and leaves signer B's warm, with no drop and no trip to the origin.
+func TestRevokingOneSignerKeepsOthersWarm(t *testing.T) {
+	f := newFleet(t, 4)
+	a := f.newSigner("Revoked Studio")
+	docA := signedDoc(t, a, 45)
+	docB := signedDoc(t, f.creator, 46)
+
+	for _, doc := range [][]byte{docA, docB} {
+		if _, _, err := openChecked(t, f.edges[0], doc); err != nil {
+			t.Fatal(err)
+		}
+		for i, e := range f.edges {
+			if _, st, err := openChecked(t, e, doc); err != nil || st != cluster.StatusHit {
+				t.Fatalf("edge %d warm open before the revocation: status=%q err=%v", i, st, err)
+			}
+		}
+	}
+	verifies := f.originRec.Counter("cluster.origin_verify")
+
+	if err := f.svc.Revoke(a.Name, "pw"); err != nil {
+		t.Fatal(err)
+	}
+	want := f.origin.Epoch()
+	for i, e := range f.edges {
+		if got := e.Epoch(); got != want {
+			t.Errorf("edge %d epoch = %d after the revocation, want %d", i, got, want)
+		}
+		if _, st, err := openChecked(t, e, docB); err != nil || st != cluster.StatusHit {
+			t.Errorf("edge %d open of the still-trusted signer's document: status=%q err=%v, want a hit", i, st, err)
+		}
+	}
+	for i, rec := range f.recs {
+		if got := rec.Counter("cluster.lagging_drop"); got != 0 {
+			t.Errorf("edge %d lagging_drop = %d after an unrelated revocation, want 0", i, got)
+		}
+	}
+	if got := f.originRec.Counter("cluster.origin_verify"); got != verifies {
+		t.Errorf("origin verified %d more times, want 0: the other signer's records must stay warm", got-verifies)
+	}
+
+	for i, e := range f.edges {
+		if _, _, err := openChecked(t, e, docA); !errors.Is(err, library.ErrTrustChanged) {
+			t.Errorf("edge %d open of the revoked signer's document: %v, want ErrTrustChanged", i, err)
+		}
+	}
+	for i, e := range f.edges {
+		if _, _, err := openChecked(t, e, docA); err == nil {
+			t.Errorf("edge %d refilled the revoked signer's document", i)
+		}
+	}
+}
+
+// TestPullBootstrapsAFreshEdge covers the bootstrap pull: an edge that
+// joins after the fills pulls every verdict the origin's library still
+// trusts and serves them without a trip to the origin, while a verdict
+// whose signer was revoked before the pull never reaches it.
+func TestPullBootstrapsAFreshEdge(t *testing.T) {
+	f := newFleet(t, 1)
+	a := f.newSigner("Pulled Revoked Studio")
+	keep := [][]byte{signedDoc(t, f.creator, 47), signedDoc(t, f.creator, 48)}
+	docA := signedDoc(t, a, 49)
+	for _, doc := range append([][]byte{docA}, keep...) {
+		if _, _, err := openChecked(t, f.edges[0], doc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.svc.Revoke(a.Name, "pw"); err != nil {
+		t.Fatal(err)
+	}
+
+	fresh := f.addEdge("edge-late")
+	n, err := fresh.Pull(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != len(keep) || fresh.Records() != len(keep) {
+		t.Fatalf("pull adopted %d records (%d resident), want %d: the revoked signer's verdict must not ship", n, fresh.Records(), len(keep))
+	}
+	verifies := f.originRec.Counter("cluster.origin_verify")
+	for i, doc := range keep {
+		if _, st, err := openChecked(t, fresh, doc); err != nil || st != cluster.StatusHit {
+			t.Errorf("pulled document %d: status=%q err=%v, want a hit", i, st, err)
+		}
+	}
+	if got := f.originRec.Counter("cluster.origin_verify"); got != verifies {
+		t.Errorf("origin verified %d times for pulled documents, want 0", got-verifies)
+	}
+	if _, _, err := openChecked(t, fresh, docA); err == nil {
+		t.Error("fresh edge served the revoked signer's document")
+	}
+}
+
+// TestOriginFanOutIsConcurrent pins concurrent replication: three
+// edges' verdict handlers each wait until all three have been reached,
+// so a serial fan-out can never complete, while a concurrent one
+// releases them all and answers the cold fill once every push landed.
+func TestOriginFanOutIsConcurrent(t *testing.T) {
+	root, creator := experiments.PKIFixture()
+	svc := keymgmt.NewService(root.Pool())
+	if err := svc.Register(creator.Name, creator.Cert, "pw"); err != nil {
+		t.Fatal(err)
+	}
+	rec := obs.NewRecorder()
+	lib := library.New(
+		library.WithOpener(core.Opener{RequireSignature: true}),
+		library.WithTrustService(svc),
+	)
+	originSrv := httptest.NewServer(cluster.NewOrigin(lib, cluster.WithOriginRecorder(rec), cluster.WithOriginTrust(svc)))
+	t.Cleanup(originSrv.Close)
+
+	const edges = 3
+	var arrived atomic.Int32
+	release := make(chan struct{})
+	for i := 0; i < edges; i++ {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == cluster.PathVerdicts {
+				if arrived.Add(1) == edges {
+					close(release)
+				}
+				select {
+				case <-release:
+				case <-r.Context().Done():
+					return
+				}
+			}
+			w.WriteHeader(http.StatusNoContent)
+		}))
+		t.Cleanup(srv.Close)
+		frame, err := cluster.EncodeFrame(cluster.JoinRequest{Name: fmt.Sprintf("edge-%d", i), URL: srv.URL})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(originSrv.URL+cluster.PathJoin, "application/octet-stream", bytes.NewReader(frame))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+	}
+
+	req, err := http.NewRequest(http.MethodPost, originSrv.URL+cluster.PathVerify, bytes.NewReader(signedDoc(t, creator, 50)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(cluster.HeaderEdge, "requester")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("cold fill returned %s", resp.Status)
+	}
+	if got := rec.Counter("cluster.push"); got != edges {
+		t.Errorf("origin pushed %d records before answering, want %d (push_fail %d)", got, edges, rec.Counter("cluster.push_fail"))
+	}
+}
+
+// TestRefusedFillsKeepTheEdgeHealthy: the origin refusing content (here
+// a revoked signer's) is an answer, not a link failure, so repeated
+// refusals must not open the edge's fill breaker and partition it.
+func TestRefusedFillsKeepTheEdgeHealthy(t *testing.T) {
+	f := newFleet(t, 1)
+	a := f.newSigner("Refused Studio")
+	docA := signedDoc(t, a, 51)
+	if err := f.svc.Revoke(a.Name, "pw"); err != nil {
+		t.Fatal(err)
+	}
+	e := f.edges[0]
+	for i := 0; i < 8; i++ {
+		_, _, err := openChecked(t, e, docA)
+		if err == nil || errors.Is(err, cluster.ErrPartitioned) || errors.Is(err, resilience.ErrCircuitOpen) {
+			t.Fatalf("open %d of a revoked signer's document: %v, want the origin's refusal", i, err)
+		}
+	}
+	if got := e.Health().State(health.ComponentCluster); got != health.Healthy {
+		t.Fatalf("cluster link %v after refused fills, want healthy", got)
+	}
+	if _, _, err := openChecked(t, e, signedDoc(t, f.creator, 52)); err != nil {
+		t.Fatalf("trusted cold open after refused fills: %v", err)
+	}
+}
+
+// TestRevokingAnUnseenSignerKeepsOthersWarm: revoking a signer no fill
+// has seen names no resident verdict, so it must leave every other
+// signer's records warm on every edge, like any single-signer
+// revocation.
+func TestRevokingAnUnseenSignerKeepsOthersWarm(t *testing.T) {
+	f := newFleet(t, 4)
+	unseen := f.newSigner("Unseen Studio")
+	docB := signedDoc(t, f.creator, 53)
+	if _, _, err := openChecked(t, f.edges[0], docB); err != nil {
+		t.Fatal(err)
+	}
+	verifies := f.originRec.Counter("cluster.origin_verify")
+	if err := f.svc.Revoke(unseen.Name, "pw"); err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range f.edges {
+		if got, want := e.Epoch(), f.origin.Epoch(); got != want {
+			t.Errorf("edge %d epoch = %d after the revocation, want %d", i, got, want)
+		}
+		if _, st, err := openChecked(t, e, docB); err != nil || st != cluster.StatusHit {
+			t.Errorf("edge %d open of a still-trusted signer's document: status=%q err=%v, want a hit", i, st, err)
+		}
+		if got := f.recs[i].Counter("cluster.lagging_drop"); got != 0 {
+			t.Errorf("edge %d lagging_drop = %d, want 0", i, got)
+		}
+	}
+	if got := f.originRec.Counter("cluster.origin_verify"); got != verifies {
+		t.Errorf("origin verified %d more times, want 0", got-verifies)
+	}
+}
+
+// unreachableURL is a loopback URL nothing listens on: pushes to an
+// edge advertising it fail at once, so the edge hears only what it asks
+// the origin for.
+func unreachableURL(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	return "http://" + ln.Addr().String()
+}
+
+// TestHeartbeatBeforeThePushStaysPerSigner: an edge that hears of a
+// revocation from a heartbeat instead of the push (here the push can
+// never reach it) still applies it to the revoked signer only, from the
+// change log the heartbeat carries.
+func TestHeartbeatBeforeThePushStaysPerSigner(t *testing.T) {
+	f := newFleet(t, 0)
+	rec := obs.NewRecorder()
+	e := cluster.NewEdge("edge-0", unreachableURL(t), f.originURL, cluster.WithEdgeRecorder(rec))
+	if err := e.Join(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	a := f.newSigner("Heartbeat Revoked Studio")
+	docA, docB := signedDoc(t, a, 54), signedDoc(t, f.creator, 55)
+	for _, doc := range [][]byte{docA, docB} {
+		if _, _, err := openChecked(t, e, doc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.svc.Revoke(a.Name, "pw"); err != nil {
+		t.Fatal(err)
+	}
+	if e.Epoch() == f.origin.Epoch() {
+		t.Fatal("the announcement reached the edge; the test needs it lost")
+	}
+	if err := e.Heartbeat(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := e.Epoch(), f.origin.Epoch(); got != want {
+		t.Fatalf("edge epoch = %d after the heartbeat, want %d", got, want)
+	}
+	if _, st, err := openChecked(t, e, docB); err != nil || st != cluster.StatusHit {
+		t.Errorf("open of the still-trusted signer's document: status=%q err=%v, want a hit", st, err)
+	}
+	if _, _, err := openChecked(t, e, docA); !errors.Is(err, library.ErrTrustChanged) {
+		t.Errorf("open of the revoked signer's document: %v, want ErrTrustChanged", err)
+	}
+}
+
+// TestOriginTrustAloneWiresRevocation: WithOriginTrust couples an
+// origin to the trust service even when its library was built without
+// library.WithTrustService, and seeding the epoch from the service
+// invalidates no verdict the library already holds.
+func TestOriginTrustAloneWiresRevocation(t *testing.T) {
+	root, creator := experiments.PKIFixture()
+	svc := keymgmt.NewService(root.Pool())
+	for _, name := range []string{creator.Name, "Earlier Studio"} {
+		if err := svc.Register(name, creator.Cert, "pw"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := svc.Revoke("Earlier Studio", "pw"); err != nil {
+		t.Fatal(err)
+	}
+	lib := library.New(library.WithOpener(core.Opener{RequireSignature: true, KeyByName: svc.PublicKeyByName}))
+	doc := signedDoc(t, creator, 56)
+	if _, _, err := lib.OpenDocument(context.Background(), doc); err != nil {
+		t.Fatal(err)
+	}
+	origin := cluster.NewOrigin(lib, cluster.WithOriginTrust(svc))
+	if got, want := origin.Epoch(), svc.Epoch(); got != want {
+		t.Fatalf("origin epoch = %d, want the service's %d", got, want)
+	}
+	if _, st, err := lib.OpenDocument(context.Background(), doc); err != nil || st != library.StatusHit {
+		t.Fatalf("resident verdict after seeding: status=%q err=%v, want a hit", st, err)
+	}
+	srv := httptest.NewServer(origin)
+	t.Cleanup(srv.Close)
+	e := cluster.NewEdge("edge-0", unreachableURL(t), srv.URL)
+	if err := e.Join(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := openChecked(t, e, doc); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Revoke(creator.Name, "pw"); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Heartbeat(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := e.Epoch(), svc.Epoch(); got != want {
+		t.Fatalf("edge epoch = %d after the revocation, want %d", got, want)
+	}
+	if _, _, err := openChecked(t, e, doc); !errors.Is(err, library.ErrTrustChanged) {
+		t.Fatalf("open after the revocation: %v, want ErrTrustChanged", err)
 	}
 }

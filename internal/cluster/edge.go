@@ -8,8 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -23,7 +21,8 @@ import (
 
 // Edge is a thin verification node: it recomputes the canonical digest
 // of presented content in one streaming pass (no DOM, no crypto) and
-// serves the matching replicated verdict from its local record cache.
+// serves the matching replicated verdict from its local record cache,
+// a byte-budgeted library.Cache.
 // Misses route through the consistent-hash ring to the key's owner —
 // so concurrent cold misses across the whole fleet collapse into one
 // origin verification — and fills ride a circuit breaker bound to the
@@ -37,22 +36,24 @@ type Edge struct {
 	monitor *health.Monitor
 	client  *http.Client
 	fill    *resilience.Breaker
-	bulk    *resilience.Bulkhead
 	ring    *Ring
-	vnodes  int
-	maxBody int64
 
-	// epoch is the highest fleet trust epoch this edge has heard
-	// announced. Forward-only (advanceEpoch); records stamped below it
-	// are dead.
-	epoch atomic.Uint64
-
-	mu      sync.RWMutex
-	records map[string]Record
-	peers   map[string]string
-
-	flights flightGroup
+	// epochs holds the trust changes heard: a record stamped before a
+	// change naming its signer (or every signer) is dead.
+	epochs  library.Epochs
+	records *library.Cache[Record]
+	flights library.Flight[Record]
+	peers   atomic.Pointer[map[string]string] // ring peers' URLs by name
 }
+
+// The record cache's budget (about 1,600 records) bounds edge memory
+// whatever the catalog size. A record is accounted at its two digests
+// plus recordOverhead: its cache entry, LRU element and map slot.
+const (
+	edgeCacheShards = 16
+	edgeCacheBudget = 512 << 10
+	recordOverhead  = 192
+)
 
 // EdgeOption configures an Edge.
 type EdgeOption func(*Edge)
@@ -80,36 +81,6 @@ func WithEdgeClient(c *http.Client) EdgeOption {
 	}
 }
 
-// WithEdgeBreaker replaces the origin-fill breaker (tests tune
-// thresholds and clocks through it). Bind happens in NewEdge.
-func WithEdgeBreaker(b *resilience.Breaker) EdgeOption {
-	return func(e *Edge) {
-		if b != nil {
-			e.fill = b
-		}
-	}
-}
-
-// WithEdgeBulkhead caps concurrent origin fills from this edge.
-func WithEdgeBulkhead(bh *resilience.Bulkhead) EdgeOption {
-	return func(e *Edge) { e.bulk = bh }
-}
-
-// WithEdgeVirtualNodes sets the ring's virtual-node count per member
-// (DefaultVirtualNodes when unset).
-func WithEdgeVirtualNodes(n int) EdgeOption {
-	return func(e *Edge) { e.vnodes = n }
-}
-
-// WithEdgeMaxBody bounds one open's document size (default 16 MiB).
-func WithEdgeMaxBody(n int64) EdgeOption {
-	return func(e *Edge) {
-		if n > 0 {
-			e.maxBody = n
-		}
-	}
-}
-
 // NewEdge builds an edge named name, advertising selfURL to peers and
 // filling from the origin base URL.
 func NewEdge(name, selfURL, origin string, opts ...EdgeOption) *Edge {
@@ -118,21 +89,17 @@ func NewEdge(name, selfURL, origin string, opts ...EdgeOption) *Edge {
 		selfURL: selfURL,
 		origin:  origin,
 		client:  &http.Client{Timeout: 5 * time.Second},
-		maxBody: 16 << 20,
-		records: make(map[string]Record),
-		peers:   make(map[string]string),
+		fill:    &resilience.Breaker{Name: name + "-fill"},
+		ring:    NewRing(DefaultVirtualNodes),
 	}
+	e.records = library.NewCache(edgeCacheShards, edgeCacheBudget, e.recordValid)
 	for _, opt := range opts {
 		opt(e)
 	}
 	if e.monitor == nil {
 		e.monitor = health.New(health.WithRecorder(e.rec))
 	}
-	if e.fill == nil {
-		e.fill = &resilience.Breaker{Name: name + "-fill"}
-	}
-	e.ring = NewRing(e.vnodes)
-	e.ring.Add(name)
+	e.setMembers(nil)
 	e.monitor.Register(health.ComponentCluster)
 	e.monitor.BindBreaker(health.ComponentCluster, e.fill)
 	return e
@@ -141,14 +108,13 @@ func NewEdge(name, selfURL, origin string, opts ...EdgeOption) *Edge {
 // Name returns the edge's ring name.
 func (e *Edge) Name() string { return e.name }
 
-// Epoch reports the highest fleet trust epoch the edge has heard.
-func (e *Edge) Epoch() uint64 { return e.epoch.Load() }
+// Epoch reports the highest trust epoch the edge has heard.
+func (e *Edge) Epoch() uint64 { return e.epochs.Epoch() }
 
 // Records reports the resident replicated-verdict count.
 func (e *Edge) Records() int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return len(e.records)
+	n, _ := e.records.Stats()
+	return n
 }
 
 // Health exposes the edge's monitor (the server's /healthz snapshot).
@@ -157,50 +123,24 @@ func (e *Edge) Health() *health.Monitor { return e.monitor }
 // Ring exposes the routing ring (tests pin ownership through it).
 func (e *Edge) Ring() *Ring { return e.ring }
 
-// Peers returns the known peer names, sorted.
-func (e *Edge) Peers() []string {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	out := make([]string, 0, len(e.peers))
-	for n := range e.peers {
-		out = append(out, n)
+// catchUp merges the origin's epoch and recent changes: they replay
+// per signer from this edge's epoch, and a gap left to epoch (From ==
+// To) applies to every signer. Epochs only move forward, so a replayed,
+// delayed or reordered report is counted and dropped.
+func (e *Edge) catchUp(epoch uint64, changes []library.TrustChange, cause string) {
+	prev, moved := e.epochs.Apply(append(changes, library.TrustChange{From: epoch, To: epoch})...)
+	switch {
+	case moved:
+		e.rec.Inc("cluster.epoch_advance")
+		e.rec.Audit(obs.AuditClusterEpoch, "edge %s: trust epoch %d -> %d (%s)", e.name, prev, e.epochs.Epoch(), cause)
+	case epoch < prev:
+		e.rec.Inc("cluster.epoch_stale")
 	}
-	sort.Strings(out)
-	return out
 }
 
-// obsContext mirrors the library: a recorder on the context wins,
-// otherwise the edge's is attached.
-func (e *Edge) obsContext(ctx context.Context) (context.Context, *obs.Recorder) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if rec := obs.FromContext(ctx); rec != nil {
-		return ctx, rec
-	}
-	return obs.WithRecorder(ctx, e.rec), e.rec
-}
-
-// advanceEpoch moves the edge's announced epoch forward, never back:
-// announcements arrive over the wire, where duplication, delay, and
-// reordering are normal, so only a strictly newer epoch wins the CAS.
-// A replayed or out-of-order announcement is counted and dropped.
-func (e *Edge) advanceEpoch(to uint64, cause string) bool {
-	for {
-		cur := e.epoch.Load()
-		if to == cur {
-			return false
-		}
-		if to < cur {
-			e.rec.Inc("cluster.epoch_stale")
-			return false
-		}
-		if e.epoch.CompareAndSwap(cur, to) {
-			e.rec.Inc("cluster.epoch_advance")
-			e.rec.Audit(obs.AuditClusterEpoch, "edge %s: fleet trust epoch %d -> %d (%s)", e.name, cur, to, cause)
-			return true
-		}
-	}
+// recordValid is the record cache's validity check.
+func (e *Edge) recordValid(rd Record) bool {
+	return e.epochs.Valid(rd.Epoch, rd.Signer)
 }
 
 // setMembers replaces the edge's fleet view: the ring carries every
@@ -216,44 +156,27 @@ func (e *Edge) setMembers(members []Member) {
 		names = append(names, m.Name)
 	}
 	e.ring.SetNodes(names)
-	e.mu.Lock()
-	e.peers = peers
-	e.mu.Unlock()
+	e.peers.Store(&peers)
 }
 
 func (e *Edge) peerURL(name string) (string, bool) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	url, ok := e.peers[name]
+	url, ok := (*e.peers.Load())[name]
 	return url, ok
 }
 
 // Join registers the edge with the origin and adopts the fleet epoch
 // and membership from the response.
 func (e *Edge) Join(ctx context.Context) error {
-	ctx, rec := e.obsContext(ctx)
+	ctx, rec := obs.Attach(ctx, e.rec)
 	frame, err := EncodeFrame(JoinRequest{Name: e.name, URL: e.selfURL})
 	if err != nil {
 		return err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, e.origin+PathJoin, bytes.NewReader(frame))
-	if err != nil {
-		return err
-	}
-	req.Header.Set(HeaderEdge, e.name)
-	resp, err := e.client.Do(req)
-	if err != nil {
+	var jr JoinResponse
+	if err := e.callFrame(ctx, e.origin+PathJoin, frame, "", &jr); err != nil {
 		return fmt.Errorf("cluster: join: %w", err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return classifyExchange(e.origin+PathJoin, resp)
-	}
-	var jr JoinResponse
-	if err := NewFrameReader(resp.Body).Next(&jr); err != nil {
-		return err
-	}
-	e.advanceEpoch(jr.Epoch, "join")
+	e.catchUp(jr.Epoch, jr.Changes, "join")
 	e.setMembers(jr.Members)
 	rec.Inc("cluster.joined")
 	return nil
@@ -263,96 +186,35 @@ func (e *Edge) Join(ctx context.Context) error {
 // cache (bootstrap for a cold or rejoining edge), returning how many
 // records were adopted.
 func (e *Edge) Pull(ctx context.Context) (int, error) {
-	ctx, rec := e.obsContext(ctx)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, e.origin+PathVerdicts, nil)
-	if err != nil {
-		return 0, err
-	}
-	req.Header.Set(HeaderEdge, e.name)
-	resp, err := e.client.Do(req)
+	ctx, rec := obs.Attach(ctx, e.rec)
+	resp, err := e.call(ctx, e.origin+PathVerdicts, nil, "")
 	if err != nil {
 		return 0, fmt.Errorf("cluster: pull: %w", err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return 0, classifyExchange(e.origin+PathVerdicts, resp)
+	n, err := e.storeFrames(rec, resp.Body)
+	if err == nil {
+		rec.Inc("cluster.pull")
 	}
-	fr := NewFrameReader(resp.Body)
-	n := 0
-	for {
-		var rd Record
-		if err := fr.Next(&rd); err != nil {
-			if err == io.EOF {
-				break
-			}
-			return n, err
-		}
-		if e.storeRecord(rec, rd) {
-			n++
-		}
-	}
-	rec.Inc("cluster.pull")
-	return n, nil
+	return n, err
 }
 
-// Heartbeat performs one origin liveness probe: it polls the fleet
-// epoch and feeds the outcome to the health monitor. Consecutive
-// failures walk the cluster component Degraded then Down (the
-// fail-closed threshold); one success resets the streak and converges
-// the epoch — which is how a healed partition catches up on
-// revocations it missed.
+// Heartbeat performs one origin liveness probe for the health monitor:
+// consecutive failures walk the cluster component Degraded then Down
+// (fail closed); one success resets the streak and catches the edge up
+// on the trust changes it missed, as after a healed partition.
 func (e *Edge) Heartbeat(ctx context.Context) error {
-	ctx, rec := e.obsContext(ctx)
-	ann, err := e.pollEpoch(ctx)
-	if err != nil {
+	ctx, rec := obs.Attach(ctx, e.rec)
+	var ann EpochAnnounce
+	if err := e.callFrame(ctx, e.origin+PathEpoch, nil, "", &ann); err != nil {
 		e.monitor.ReportProbe(health.ComponentCluster, err)
 		rec.Inc("cluster.heartbeat_fail")
 		return fmt.Errorf("cluster: heartbeat: %w", err)
 	}
 	e.monitor.ReportProbe(health.ComponentCluster, nil)
 	rec.Inc("cluster.heartbeat_ok")
-	e.advanceEpoch(ann.Epoch, "heartbeat")
+	e.catchUp(ann.Epoch, ann.Changes, "heartbeat")
 	return nil
-}
-
-func (e *Edge) pollEpoch(ctx context.Context) (EpochAnnounce, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, e.origin+PathEpoch, nil)
-	if err != nil {
-		return EpochAnnounce{}, err
-	}
-	req.Header.Set(HeaderEdge, e.name)
-	resp, err := e.client.Do(req)
-	if err != nil {
-		return EpochAnnounce{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return EpochAnnounce{}, classifyExchange(e.origin+PathEpoch, resp)
-	}
-	var ann EpochAnnounce
-	if err := NewFrameReader(resp.Body).Next(&ann); err != nil {
-		return EpochAnnounce{}, err
-	}
-	return ann, nil
-}
-
-// RunHeartbeats drives Heartbeat every interval until ctx ends. It
-// blocks: the caller owns the goroutine and its supervision, keeping
-// this package free of unsupervised go statements.
-func (e *Edge) RunHeartbeats(ctx context.Context, interval time.Duration) {
-	if interval <= 0 {
-		interval = time.Second
-	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			_ = e.Heartbeat(ctx) // the outcome already fed the monitor
-		}
-	}
 }
 
 // OpenReader serves one content open at the edge: a single streaming
@@ -361,7 +223,7 @@ func (e *Edge) RunHeartbeats(ctx context.Context, interval time.Duration) {
 // replicated cache answers warm opens locally and misses route via
 // the ring to exactly one origin verification fleet-wide.
 func (e *Edge) OpenReader(ctx context.Context, r io.Reader) (Record, Status, error) {
-	ctx, rec := e.obsContext(ctx)
+	ctx, rec := obs.Attach(ctx, e.rec)
 	defer rec.Start(obs.StageCluster).End()
 	if err := ctx.Err(); err != nil {
 		return Record{}, StatusMiss, err
@@ -383,14 +245,14 @@ func (e *Edge) digest(rec *obs.Recorder, r io.Reader) (string, []byte, error) {
 	if err != nil {
 		return "", nil, err
 	}
-	if err := xmlstream.Parse(io.TeeReader(io.LimitReader(r, e.maxBody+1), &buf), xmlstream.Options{}, st); err != nil {
+	if err := xmlstream.Parse(io.TeeReader(io.LimitReader(r, maxDocument+1), &buf), xmlstream.Options{}, st); err != nil {
 		return "", nil, fmt.Errorf("%w: %w", library.ErrBadDocument, err)
 	}
 	if err := st.Close(); err != nil {
 		return "", nil, fmt.Errorf("%w: %w", library.ErrBadDocument, err)
 	}
-	if int64(buf.Len()) > e.maxBody {
-		return "", nil, resilience.Terminal(fmt.Errorf("cluster: document exceeds the %d-byte limit", e.maxBody))
+	if buf.Len() > maxDocument {
+		return "", nil, resilience.Terminal(fmt.Errorf("cluster: document exceeds the %d-byte limit", maxDocument))
 	}
 	return hex.EncodeToString(h.Sum(nil)), buf.Bytes(), nil
 }
@@ -401,7 +263,7 @@ func (e *Edge) digest(rec *obs.Recorder, r io.Reader) (string, []byte, error) {
 func (e *Edge) open(ctx context.Context, rec *obs.Recorder, key string, body []byte, forwarded bool) (Record, Status, error) {
 	rd, ok, err := e.lookup(rec, key)
 	if err != nil {
-		return Record{}, StatusHit, err
+		return Record{}, StatusMiss, err
 	}
 	if ok {
 		return rd, StatusHit, nil
@@ -410,7 +272,7 @@ func (e *Edge) open(ctx context.Context, rec *obs.Recorder, key string, body []b
 		return Record{}, StatusMiss, e.failPartitioned(rec, key, "cold fill")
 	}
 	status := StatusMiss
-	rd, err, shared := e.flights.do(key, func() (Record, error) {
+	rd, err, shared := e.flights.Do(key, func() (Record, error) {
 		// Double-check under flight leadership: a push or a racing
 		// fill may have landed since the first lookup.
 		if rd, ok, lerr := e.lookup(rec, key); lerr != nil {
@@ -425,34 +287,21 @@ func (e *Edge) open(ctx context.Context, rec *obs.Recorder, key string, body []b
 		rec.Inc("cluster.singleflight_wait")
 		status = StatusWait
 	}
-	if err != nil {
-		return Record{}, status, err
-	}
-	return rd, status, nil
+	return rd, status, err // rd is zero beside an error
 }
 
 // lookup serves the warm path: one record fetch plus the epoch and
-// partition gates. A record whose epoch lags the announced one dies
-// here (library.ErrTrustChanged); a warm hit on a Down edge fails
-// closed; a warm hit on a Degraded edge serves, audited.
+// partition gates. A record stamped before a trust change naming its
+// signer dies here (library.ErrTrustChanged); a warm hit on a Down
+// edge fails closed; a warm hit on a Degraded edge serves, audited.
 func (e *Edge) lookup(rec *obs.Recorder, key string) (Record, bool, error) {
-	e.mu.RLock()
-	rd, ok := e.records[key]
-	e.mu.RUnlock()
+	rd, ok, stale := e.records.Get(key)
+	if stale {
+		rec.Inc("cluster.lagging_drop")
+		return Record{}, false, e.laggingDrop(key, rd)
+	}
 	if !ok {
 		return Record{}, false, nil
-	}
-	if cur := e.epoch.Load(); rd.Epoch < cur {
-		e.mu.Lock()
-		// Re-check under the write lock: a fresher record may have
-		// replaced the lagging one since the read.
-		if got, still := e.records[key]; still && got.Epoch < cur {
-			delete(e.records, key)
-		}
-		e.mu.Unlock()
-		rec.Inc("cluster.lagging_drop")
-		return Record{}, false, fmt.Errorf("cluster: edge %s: verdict %.12s at epoch %d lags announced epoch %d: %w",
-			e.name, key, rd.Epoch, cur, library.ErrTrustChanged)
 	}
 	switch e.monitor.State(health.ComponentCluster) {
 	case health.Down:
@@ -479,7 +328,8 @@ func (e *Edge) fillMiss(ctx context.Context, rec *obs.Recorder, key string, body
 	if !forwarded {
 		if owner := e.ring.Owner(key); owner != "" && owner != e.name {
 			if url, ok := e.peerURL(owner); ok {
-				rd, err := e.exchange(ctx, url+PathVerify, body, true)
+				var rd Record
+				err := e.callFrame(ctx, url+PathVerify, body, key, &rd)
 				if err == nil {
 					if aerr := e.adopt(rec, key, rd); aerr != nil {
 						return Record{}, aerr
@@ -495,17 +345,9 @@ func (e *Edge) fillMiss(ctx context.Context, rec *obs.Recorder, key string, body
 			}
 		}
 	}
-	release, err := e.bulk.Acquire(ctx)
-	if err != nil {
-		rec.Inc("cluster.bulkhead_rejected")
-		return Record{}, err
-	}
-	defer release()
 	var rd Record
-	err = e.fill.Do(ctx, func(ctx context.Context) error {
-		var xerr error
-		rd, xerr = e.exchange(ctx, e.origin+PathVerify, body, false)
-		return xerr
+	err := e.fill.Do(ctx, func(ctx context.Context) error {
+		return e.callFrame(ctx, e.origin+PathVerify, body, "", &rd)
 	})
 	if err != nil {
 		rec.Inc("cluster.fill_err")
@@ -518,69 +360,104 @@ func (e *Edge) fillMiss(ctx context.Context, rec *obs.Recorder, key string, body
 	return rd, nil
 }
 
+// laggingDrop is the fail-closed error for a record that predates a
+// trust change naming its signer; callers count the drop.
+func (e *Edge) laggingDrop(key string, rd Record) error {
+	return fmt.Errorf("cluster: edge %s: verdict %.12s of signer %.12s at epoch %d predates a trust change (epoch now %d): %w",
+		e.name, key, rd.Signer, rd.Epoch, e.epochs.Epoch(), library.ErrTrustChanged)
+}
+
 // adopt admits a filled record: it must re-address the locally
 // computed key exactly (the wrapping-proofness of the whole tier rides
-// on this check) and must not lag the announced epoch (a fill that
-// raced a revocation self-invalidates here).
+// on this check) and must still be valid (a fill that raced a
+// revocation of its signer self-invalidates here).
 func (e *Edge) adopt(rec *obs.Recorder, key string, rd Record) error {
 	if rd.Key != key {
 		rec.Inc("cluster.key_mismatch")
 		return resilience.Terminal(fmt.Errorf("cluster: edge %s: verdict keyed %.12s for content keyed %.12s: %w",
 			e.name, rd.Key, key, ErrKeyMismatch))
 	}
-	if cur := e.epoch.Load(); rd.Epoch < cur {
-		rec.Inc("cluster.lagging_drop")
-		return fmt.Errorf("cluster: edge %s: filled verdict %.12s at epoch %d lags announced epoch %d: %w",
-			e.name, key, rd.Epoch, cur, library.ErrTrustChanged)
+	if !e.storeRecord(rec, rd) {
+		return e.laggingDrop(key, rd)
 	}
-	e.mu.Lock()
-	e.records[key] = rd
-	e.mu.Unlock()
 	return nil
 }
 
-// storeRecord admits a pushed or pulled record. No key check is needed
-// here: a stored record only ever serves content whose digest the edge
-// recomputes to exactly that key.
+// storeRecord admits a pushed, pulled or adopted record that is still
+// valid. No key check is needed here: a stored record only ever serves
+// content whose digest the edge recomputes to exactly that key.
 func (e *Edge) storeRecord(rec *obs.Recorder, rd Record) bool {
 	if rd.Key == "" {
 		return false
 	}
-	if cur := e.epoch.Load(); rd.Epoch < cur {
+	if !e.recordValid(rd) {
 		rec.Inc("cluster.lagging_drop")
 		return false
 	}
-	e.mu.Lock()
-	e.records[rd.Key] = rd
-	e.mu.Unlock()
+	if n := e.records.Put(rd.Key, rd, int64(len(rd.Key)+len(rd.Signer)+recordOverhead)); n > 0 {
+		rec.Add("cluster.evict", int64(n))
+	}
 	return true
 }
 
-// exchange posts a document to a verification route (peer or origin)
-// and decodes the verdict frame. Transport and 5xx failures come back
-// transient so the fill breaker counts them toward opening.
-func (e *Edge) exchange(ctx context.Context, url string, body []byte, forwarded bool) (Record, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
+// storeFrames admits every record framed on r, returning how many it
+// stored.
+func (e *Edge) storeFrames(rec *obs.Recorder, r io.Reader) (int, error) {
+	fr := NewFrameReader(r)
+	for n := 0; ; {
+		var rd Record
+		if err := fr.Next(&rd); err != nil {
+			if err == io.EOF {
+				err = nil
+			}
+			return n, err
+		}
+		if e.storeRecord(rec, rd) {
+			n++
+		}
+	}
+}
+
+// call sends one request to url, a POST of body or a GET when body is
+// nil, and returns the response once it is 200 OK; the caller closes
+// its body. A non-empty forwardKey forwards an open to a ring peer
+// under the key this edge computed. Transport and 5xx failures come
+// back transient so the fill breaker counts them toward opening.
+func (e *Edge) call(ctx context.Context, url string, body []byte, forwardKey string) (*http.Response, error) {
+	method, rd := http.MethodGet, io.Reader(nil)
+	if body != nil {
+		method, rd = http.MethodPost, bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, url, rd)
 	if err != nil {
-		return Record{}, resilience.Terminal(err)
+		return nil, resilience.Terminal(err)
 	}
 	req.Header.Set(HeaderEdge, e.name)
-	if forwarded {
-		req.Header.Set(HeaderForwarded, "1")
+	if forwardKey != "" {
+		req.Header.Set(HeaderForwarded, forwardKey)
 	}
 	resp, err := e.client.Do(req)
 	if err != nil {
-		return Record{}, resilience.Classify(fmt.Errorf("cluster: POST %s: %w", url, err))
+		return nil, resilience.Classify(fmt.Errorf("cluster: %s %s: %w", method, url, err))
+	}
+	if resp.StatusCode != http.StatusOK {
+		resp.Body.Close()
+		return nil, classifyExchange(url, resp)
+	}
+	return resp, nil
+}
+
+// callFrame is call plus decoding the response's one frame into v.
+func (e *Edge) callFrame(ctx context.Context, url string, body []byte, forwardKey string, v any) error {
+	resp, err := e.call(ctx, url, body, forwardKey)
+	if err != nil {
+		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return Record{}, classifyExchange(url, resp)
+	if err := NewFrameReader(resp.Body).Next(v); err != nil {
+		return resilience.Transient(err)
 	}
-	var rd Record
-	if err := NewFrameReader(resp.Body).Next(&rd); err != nil {
-		return Record{}, resilience.Transient(err)
-	}
-	return rd, nil
+	return nil
 }
 
 // ServeHTTP routes the edge half of the wire protocol.
@@ -593,7 +470,7 @@ func (e *Edge) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	case r.URL.Path == PathEpoch && r.Method == http.MethodPost:
 		e.serveEpoch(w, r)
 	case r.URL.Path == PathEpoch && r.Method == http.MethodGet:
-		writeFrameResponse(w, EpochAnnounce{Epoch: e.epoch.Load()})
+		writeFrameResponse(w, EpochAnnounce{Epoch: e.Epoch()})
 	case r.URL.Path == PathMembers && r.Method == http.MethodPost:
 		e.serveMembers(w, r)
 	default:
@@ -602,13 +479,16 @@ func (e *Edge) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // serveVerify handles a miss forwarded by a ring peer: same open path,
-// but never re-forwarded.
+// but never re-forwarded, under the key the forwarder computed. Both
+// edges re-address what they are sent (adopt), so the key is not
+// recomputed here.
 func (e *Edge) serveVerify(w http.ResponseWriter, r *http.Request) {
-	ctx, rec := e.obsContext(r.Context())
+	ctx, rec := obs.Attach(r.Context(), e.rec)
 	defer rec.Start(obs.StageCluster).End()
-	key, body, err := e.digest(rec, http.MaxBytesReader(w, r.Body, e.maxBody))
-	if err != nil {
-		writeError(w, err)
+	key := r.Header.Get(HeaderForwarded)
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxDocument))
+	if err != nil || key == "" {
+		http.Error(w, "cluster: a forwarded open needs its key and document", http.StatusBadRequest)
 		return
 	}
 	rec.Inc("cluster.forward_serve")
@@ -623,20 +503,12 @@ func (e *Edge) serveVerify(w http.ResponseWriter, r *http.Request) {
 
 // serveVerdicts stores records pushed by the origin.
 func (e *Edge) serveVerdicts(w http.ResponseWriter, r *http.Request) {
-	_, rec := e.obsContext(r.Context())
-	fr := NewFrameReader(http.MaxBytesReader(w, r.Body, MaxFrame+16))
-	for {
-		var rd Record
-		if err := fr.Next(&rd); err != nil {
-			if err == io.EOF {
-				break
-			}
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if e.storeRecord(rec, rd) {
-			rec.Inc("cluster.push_recv")
-		}
+	_, rec := obs.Attach(r.Context(), e.rec)
+	n, err := e.storeFrames(rec, http.MaxBytesReader(w, r.Body, MaxFrame+16))
+	rec.Add("cluster.push_recv", int64(n))
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
 	}
 	w.WriteHeader(http.StatusNoContent)
 }
@@ -648,23 +520,22 @@ func (e *Edge) serveEpoch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	reason := ann.Reason
-	if reason == "" {
-		reason = "announce"
+	if len(ann.Changes) == 0 {
+		ann.Changes = []library.TrustChange{{To: ann.Epoch}} // every signer
 	}
-	e.advanceEpoch(ann.Epoch, reason)
+	e.catchUp(ann.Epoch, ann.Changes, "announce "+ann.Reason)
 	w.WriteHeader(http.StatusNoContent)
 }
 
 // serveMembers applies a membership broadcast.
 func (e *Edge) serveMembers(w http.ResponseWriter, r *http.Request) {
-	var mu MemberUpdate
+	var mu JoinResponse
 	if err := NewFrameReader(http.MaxBytesReader(w, r.Body, MaxFrame)).Next(&mu); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	if mu.Epoch > 0 {
-		e.advanceEpoch(mu.Epoch, "membership update")
+		e.catchUp(mu.Epoch, mu.Changes, "membership update")
 	}
 	e.setMembers(mu.Members)
 	w.WriteHeader(http.StatusNoContent)

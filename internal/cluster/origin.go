@@ -3,10 +3,10 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"net/http"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"discsec/internal/keymgmt"
@@ -16,26 +16,27 @@ import (
 )
 
 // Origin is the cluster's cold-verification node: it runs every cold
-// fill through the shared library, stamps the resulting verdict with
-// the fleet trust epoch read before the fill began (so a fill racing a
-// revocation self-invalidates at every edge), and fans records and
-// epoch announcements out to the registered edges. It implements
-// http.Handler for the /cluster/* routes; mount it with
-// server.WithClusterOrigin or behind any mux.
+// fill through the shared library, stamps the verdict with the trust
+// epoch read before the open began (so a fill racing a revocation of
+// its signer self-invalidates at every edge), and fans records and the
+// library's trust changes out to the registered edges. It keeps no
+// verdicts of its own: bootstrap pulls read the library's. It is the
+// http.Handler for the /cluster/* routes (server.WithClusterOrigin).
 type Origin struct {
-	lib     *library.Library
-	rec     *obs.Recorder
-	client  *http.Client
-	maxBody int64
+	lib    *library.Library
+	rec    *obs.Recorder
+	client *http.Client
 
-	// epoch is the fleet trust epoch: the authoritative count of
-	// trust-changing events. Forward-only.
-	epoch atomic.Uint64
+	mu      sync.Mutex
+	members map[string]member
+}
 
-	mu       sync.Mutex
-	members  map[string]Member
-	records  map[string]Record
-	breakers map[string]*resilience.Breaker
+// member is one registered edge and the breaker its pushes ride, so one
+// unreachable edge fails its pushes fast instead of stalling every
+// fan-out on a full client timeout.
+type member struct {
+	Member
+	breaker *resilience.Breaker
 }
 
 // OriginOption configures an Origin.
@@ -46,15 +47,13 @@ func WithOriginRecorder(rec *obs.Recorder) OriginOption {
 	return func(o *Origin) { o.rec = rec }
 }
 
-// WithOriginTrust couples the origin to the trust service: the fleet
-// epoch seeds from the service's trust-change count, and every
-// revocation or reissue bumps it and fans the announcement out to the
-// edges.
+// WithOriginTrust subscribes the origin's library to svc
+// (library.Library.WatchTrust, which WithTrustService(svc) may already
+// have done): every revocation or reissue becomes a trust change the
+// origin fans out, and the epoch seeds from svc's change count, so a
+// restarted origin never announces an epoch below its edges'.
 func WithOriginTrust(svc *keymgmt.Service) OriginOption {
-	return func(o *Origin) {
-		o.epoch.Store(svc.Epoch())
-		svc.OnRevoke(func(name string) { o.Bump("signer " + name + " revoked") })
-	}
+	return func(o *Origin) { o.lib.WatchTrust(svc) }
 }
 
 // WithOriginClient sets the HTTP client for push fan-out. It must
@@ -68,101 +67,73 @@ func WithOriginClient(c *http.Client) OriginOption {
 	}
 }
 
-// WithOriginMaxBody bounds an inbound verification body (default
-// 16 MiB).
-func WithOriginMaxBody(n int64) OriginOption {
-	return func(o *Origin) {
-		if n > 0 {
-			o.maxBody = n
-		}
-	}
-}
-
 // NewOrigin builds the origin over a shared verification library.
 func NewOrigin(lib *library.Library, opts ...OriginOption) *Origin {
 	o := &Origin{
-		lib:      lib,
-		client:   &http.Client{Timeout: 5 * time.Second},
-		maxBody:  16 << 20,
-		members:  make(map[string]Member),
-		records:  make(map[string]Record),
-		breakers: make(map[string]*resilience.Breaker),
+		lib:     lib,
+		client:  &http.Client{Timeout: 5 * time.Second},
+		members: make(map[string]member),
 	}
+	lib.OnTrustChange(o.announce)
 	for _, opt := range opts {
 		opt(o)
 	}
 	return o
 }
 
-// Epoch reports the current fleet trust epoch.
-func (o *Origin) Epoch() uint64 { return o.epoch.Load() }
+// Epoch reports the library's trust epoch, the one edges converge on.
+func (o *Origin) Epoch() uint64 { return o.lib.GlobalEpoch() }
 
-// Members returns the registered edges, sorted by name.
-func (o *Origin) Members() []Member {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	out := o.membersLocked()
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
+// Records reports the library's resident verdict count, the set a
+// bootstrap pull serves from (diagnostics and tests).
+func (o *Origin) Records() int { return o.lib.Len() }
 
-func (o *Origin) membersLocked() []Member {
-	out := make([]Member, 0, len(o.members))
-	for _, m := range o.members {
-		out = append(out, m)
+// announce fans one library trust change out to every registered edge
+// inside the change's caller (typically keymgmt.Service.Revoke), so the
+// fleet has heard it before that call returns; a partitioned edge
+// catches up at its next successful heartbeat.
+func (o *Origin) announce(c library.TrustChange) {
+	reason := "every signer"
+	if len(c.Signers) > 0 {
+		reason = fmt.Sprintf("signers %.12q", c.Signers)
 	}
-	return out
-}
-
-// Records reports the resident replicated-verdict count (diagnostics
-// and tests).
-func (o *Origin) Records() int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return len(o.records)
-}
-
-// Bump advances the fleet trust epoch by one, drops every record
-// stamped under the old epoch, and announces the new epoch to all
-// registered edges (best-effort: a partitioned edge converges through
-// its next successful heartbeat instead). It returns the new epoch.
-func (o *Origin) Bump(reason string) uint64 {
-	e := o.epoch.Add(1)
-	o.mu.Lock()
-	o.records = make(map[string]Record)
-	members := o.membersLocked()
-	o.mu.Unlock()
 	o.rec.Inc("cluster.epoch_advance")
-	o.rec.Audit(obs.AuditClusterEpoch, "origin: fleet trust epoch -> %d (%s)", e, reason)
-	ann, err := EncodeFrame(EpochAnnounce{Epoch: e, Reason: reason})
+	o.rec.Audit(obs.AuditClusterEpoch, "origin: trust epoch %d -> %d (%s)", c.From, c.To, reason)
+	ann, err := EncodeFrame(EpochAnnounce{Epoch: c.To, Changes: o.lib.TrustChanges(), Reason: reason})
 	if err != nil {
-		return e
+		return
 	}
-	for _, m := range members {
-		o.push(m, PathEpoch, ann, "cluster.epoch_push")
-	}
-	return e
+	o.fanOut(context.Background(), "", PathEpoch, ann, "cluster.epoch_push")
 }
 
-// breakerFor returns the per-edge push breaker, so one unreachable
-// edge fails its pushes fast instead of stalling every fan-out on a
-// full client timeout.
-func (o *Origin) breakerFor(name string) *resilience.Breaker {
+// fanOut pushes one frame to every registered edge but skip, one
+// goroutine per edge, and returns once every push has finished: the
+// slowest edge, not the sum of them, bounds the wait. ctx carries the
+// caller's deadline into every push.
+func (o *Origin) fanOut(ctx context.Context, skip, path string, frame []byte, okCounter string) {
 	o.mu.Lock()
-	defer o.mu.Unlock()
-	b, ok := o.breakers[name]
-	if !ok {
-		b = &resilience.Breaker{Name: "cluster-push-" + name}
-		o.breakers[name] = b
+	var targets []member
+	for _, m := range o.members {
+		if m.Name != skip {
+			targets = append(targets, m)
+		}
 	}
-	return b
+	o.mu.Unlock()
+	var wg sync.WaitGroup
+	for _, m := range targets {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			o.push(ctx, m, path, frame, okCounter)
+		}()
+	}
+	wg.Wait()
 }
 
 // push delivers one framed message to an edge route, best-effort: the
 // result feeds the edge's breaker and the counters, never the caller.
-func (o *Origin) push(m Member, path string, frame []byte, okCounter string) {
-	b := o.breakerFor(m.Name)
-	err := b.Do(context.Background(), func(ctx context.Context) error {
+func (o *Origin) push(ctx context.Context, m member, path string, frame []byte, okCounter string) {
+	err := m.breaker.Do(ctx, func(ctx context.Context) error {
 		req, rerr := http.NewRequestWithContext(ctx, http.MethodPost, m.URL+path, bytes.NewReader(frame))
 		if rerr != nil {
 			return resilience.Terminal(rerr)
@@ -191,7 +162,8 @@ func (o *Origin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		o.serveVerify(w, r)
 	case r.URL.Path == PathEpoch && r.Method == http.MethodGet:
 		o.rec.Inc("cluster.heartbeat_serve")
-		writeFrameResponse(w, EpochAnnounce{Epoch: o.epoch.Load()})
+		// The epoch is read first: changes past it only help.
+		writeFrameResponse(w, EpochAnnounce{Epoch: o.Epoch(), Changes: o.lib.TrustChanges()})
 	case r.URL.Path == PathVerdicts && r.Method == http.MethodGet:
 		o.serveVerdicts(w)
 	case r.URL.Path == PathJoin && r.Method == http.MethodPost:
@@ -203,71 +175,64 @@ func (o *Origin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // serveVerify is the fleet's single cold-verification entry: the body
 // streams straight into the library (single pass, reader-first), and
-// the verdict ships back as a Record stamped with the epoch read
-// before the fill. Reading the epoch first is load-bearing: a
-// revocation that lands mid-verification bumps past it, so every edge
-// rejects the record as lagging instead of caching a pre-revocation
-// verdict.
+// the verdict ships back as a Record stamped with the trust epoch read
+// before the open. Reading the epoch first is load-bearing: a
+// revocation of the signer that lands mid-verification marks the
+// signer past it, so every edge rejects the record instead of caching
+// a pre-revocation verdict.
 func (o *Origin) serveVerify(w http.ResponseWriter, r *http.Request) {
-	ctx, rec := o.obsContext(r.Context())
+	ctx, rec := obs.Attach(r.Context(), o.rec)
 	defer rec.Start(obs.StageCluster).End()
-	e := o.epoch.Load()
-	v, status, err := o.lib.OpenReader(ctx, http.MaxBytesReader(w, r.Body, o.maxBody))
+	e := o.Epoch()
+	v, status, err := o.lib.OpenReader(ctx, http.MaxBytesReader(w, r.Body, maxDocument))
 	if err != nil {
 		rec.Inc("cluster.origin_verify_err")
 		writeError(w, err)
 		return
 	}
 	rec.Inc("cluster.origin_verify")
-	rd := Record{
-		Key:        v.Key,
-		Signer:     v.Fingerprint,
-		Epoch:      e,
-		Degraded:   v.Degraded,
-		Signatures: len(v.Result.Signatures),
-	}
-	o.mu.Lock()
-	o.records[rd.Key] = rd
-	members := o.membersLocked()
-	o.mu.Unlock()
+	rd := record(v, e)
 	// Replicate to every edge except the requester (which gets the
 	// record in its response) before answering: once the requester
 	// holds its verdict, fleet-wide replication has already happened.
 	if frame, ferr := EncodeFrame(rd); ferr == nil {
-		requester := r.Header.Get(HeaderEdge)
-		for _, m := range members {
-			if m.Name == requester {
-				continue
-			}
-			o.push(m, PathVerdicts, frame, "cluster.push")
-		}
+		o.fanOut(ctx, r.Header.Get(HeaderEdge), PathVerdicts, frame, "cluster.push")
 	}
 	w.Header().Set(HeaderStatus, string(status))
 	writeFrameResponse(w, rd)
 }
 
-// serveVerdicts streams the resident record set as frames (edge
-// bootstrap pull).
-func (o *Origin) serveVerdicts(w http.ResponseWriter) {
-	o.mu.Lock()
-	records := make([]Record, 0, len(o.records))
-	for _, rd := range o.records {
-		records = append(records, rd)
+// record is the wire form of a library verdict; epoch is the trust
+// epoch read before the verdict was looked up or filled.
+func record(v *library.Verdict, epoch uint64) Record {
+	return Record{
+		Key:        v.Key,
+		Signer:     v.Fingerprint,
+		Epoch:      epoch,
+		Degraded:   v.Degraded,
+		Signatures: len(v.Result.Signatures),
 	}
-	o.mu.Unlock()
-	sort.Slice(records, func(i, j int) bool { return records[i].Key < records[j].Key })
+}
+
+// serveVerdicts streams the library's still-valid resident verdicts as
+// frames (edge bootstrap pull), stamped with the epoch read before
+// they were collected.
+func (o *Origin) serveVerdicts(w http.ResponseWriter) {
+	e := o.Epoch()
+	verdicts := o.lib.Verdicts()
+	sort.Slice(verdicts, func(i, j int) bool { return verdicts[i].Key < verdicts[j].Key })
 	w.Header().Set("Content-Type", "application/octet-stream")
-	for _, rd := range records {
-		if err := WriteFrame(w, rd); err != nil {
+	for _, v := range verdicts {
+		if err := WriteFrame(w, record(v, e)); err != nil {
 			return
 		}
 	}
 	o.rec.Inc("cluster.pull_serve")
 }
 
-// serveJoin registers an edge and hands it the fleet epoch plus the
-// full membership; standing edges learn the newcomer through a
-// membership broadcast.
+// serveJoin registers an edge and hands it the fleet epoch, the recent
+// trust changes and the full membership; standing edges learn the
+// newcomer through a membership broadcast.
 func (o *Origin) serveJoin(w http.ResponseWriter, r *http.Request) {
 	var jr JoinRequest
 	if err := NewFrameReader(http.MaxBytesReader(w, r.Body, MaxFrame)).Next(&jr); err != nil {
@@ -278,42 +243,22 @@ func (o *Origin) serveJoin(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "cluster: join requires a name and URL", http.StatusBadRequest)
 		return
 	}
-	e := o.epoch.Load()
+	jresp := JoinResponse{Epoch: o.Epoch(), Changes: o.lib.TrustChanges()}
 	o.mu.Lock()
-	o.members[jr.Name] = Member{Name: jr.Name, URL: jr.URL}
-	members := o.membersLocked()
+	o.members[jr.Name] = member{Member{Name: jr.Name, URL: jr.URL}, &resilience.Breaker{Name: "cluster-push-" + jr.Name}}
+	for _, m := range o.members {
+		jresp.Members = append(jresp.Members, m.Member)
+	}
 	o.mu.Unlock()
-	sort.Slice(members, func(i, j int) bool { return members[i].Name < members[j].Name })
+	sort.Slice(jresp.Members, func(i, j int) bool { return jresp.Members[i].Name < jresp.Members[j].Name })
 	o.rec.Inc("cluster.join")
-	writeFrameResponse(w, JoinResponse{Epoch: e, Members: members})
-	update, err := EncodeFrame(MemberUpdate{Epoch: e, Members: members})
-	if err != nil {
-		return
+	writeFrameResponse(w, jresp)
+	if update, err := EncodeFrame(jresp); err == nil {
+		o.fanOut(r.Context(), jr.Name, PathMembers, update, "cluster.member_push")
 	}
-	for _, m := range members {
-		if m.Name == jr.Name {
-			continue
-		}
-		o.push(m, PathMembers, update, "cluster.member_push")
-	}
-}
-
-// obsContext mirrors the library: a recorder on the context wins,
-// otherwise the origin's is attached.
-func (o *Origin) obsContext(ctx context.Context) (context.Context, *obs.Recorder) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if rec := obs.FromContext(ctx); rec != nil {
-		return ctx, rec
-	}
-	return obs.WithRecorder(ctx, o.rec), o.rec
 }
 
 func writeFrameResponse(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/octet-stream")
-	if err := WriteFrame(w, v); err != nil {
-		// Headers are gone; nothing recoverable mid-body.
-		return
-	}
+	_ = WriteFrame(w, v) // headers are gone: nothing recoverable mid-body
 }

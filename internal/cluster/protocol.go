@@ -13,6 +13,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"discsec/internal/library"
 )
 
 // Cluster routes. The origin serves Verify (cold verification), Epoch
@@ -35,8 +37,9 @@ const (
 	// during push fan-out (the requester gets the record in its
 	// response).
 	HeaderEdge = "X-Cluster-Edge"
-	// HeaderForwarded marks a miss already routed once by the ring;
-	// the receiving edge must fill from the origin directly, never
+	// HeaderForwarded marks a miss already routed once by the ring and
+	// carries the canonical digest the forwarder computed; the
+	// receiving edge must fill from the origin directly, never
 	// re-forward — divergent ring views can therefore never loop.
 	HeaderForwarded = "X-Cluster-Forwarded"
 	// HeaderStatus reports how the node served the open (Status).
@@ -46,10 +49,14 @@ const (
 // MaxFrame bounds one frame's JSON body.
 const MaxFrame = 4 << 20
 
-// EpochAnnounce carries the fleet trust epoch, pushed by the origin on
-// every trust change and polled by edge heartbeats.
+// EpochAnnounce carries the origin's trust epoch and its recent trust
+// changes (library.Epochs.Recent), pushed on a change and polled by
+// heartbeats. An edge replays the changes per signer from the epoch it
+// holds; a gap the log does not cover, or a pushed announcement with no
+// changes, applies to every signer.
 type EpochAnnounce struct {
-	Epoch uint64 `json:"epoch"`
+	Epoch   uint64                `json:"epoch"`
+	Changes []library.TrustChange `json:"changes,omitempty"`
 	// Reason is the human-readable cause (audit trails only; never
 	// load-bearing).
 	Reason string `json:"reason,omitempty"`
@@ -61,19 +68,14 @@ type JoinRequest struct {
 	URL  string `json:"url"`
 }
 
-// JoinResponse hands a joining edge the fleet epoch and the full
-// membership (itself included).
+// JoinResponse hands a joining edge the origin's trust epoch, its
+// recent trust changes (as in EpochAnnounce) and the full membership
+// (itself included); the origin broadcasts the same message to the
+// standing edges, so membership churn is an epoch catch-up too.
 type JoinResponse struct {
-	Epoch   uint64   `json:"epoch"`
-	Members []Member `json:"members"`
-}
-
-// MemberUpdate is the origin's membership broadcast to standing edges;
-// it carries the epoch too, so membership churn doubles as an epoch
-// convergence opportunity.
-type MemberUpdate struct {
-	Epoch   uint64   `json:"epoch"`
-	Members []Member `json:"members"`
+	Epoch   uint64                `json:"epoch"`
+	Changes []library.TrustChange `json:"changes,omitempty"`
+	Members []Member              `json:"members"`
 }
 
 // WriteFrame writes v as one length-prefixed JSON frame.

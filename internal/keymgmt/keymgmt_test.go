@@ -128,6 +128,35 @@ func TestServiceValidateUntrustedChain(t *testing.T) {
 	}
 }
 
+// TestValidateRechecksChainAfterReissue: a remembered chain validation
+// belongs to the certificate it validated, so reissuing the binding to
+// a certificate from an untrusted root is refused at once.
+func TestValidateRechecksChainAfterReissue(t *testing.T) {
+	s := NewService(fixture.root.Pool())
+	if err := s.Register("author", fixture.author.Cert, "secret"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if status, err := s.Validate("author"); status != StatusValid {
+			t.Fatalf("validate %d = %v, %v", i, status, err)
+		}
+	}
+	other, err := NewRootCA("Other Root", ECDSAP256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stranger, err := other.IssueIdentity("stranger", ECDSAP256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Reissue("author", stranger.Cert, "secret"); err != nil {
+		t.Fatal(err)
+	}
+	if status, err := s.Validate("author"); status != StatusInvalid || err == nil {
+		t.Errorf("validate after reissue to an untrusted certificate = %v, %v; want Invalid", status, err)
+	}
+}
+
 func TestXKMSHTTPRoundTrip(t *testing.T) {
 	s := NewService(fixture.root.Pool())
 	srv := httptest.NewServer(&Handler{Service: s})

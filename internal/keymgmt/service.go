@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // BindingStatus is the XKMS key binding status reported by Validate.
@@ -62,6 +63,10 @@ type binding struct {
 	cert          *x509.Certificate
 	revoked       bool
 	authenticator string
+	// chainUntil memoizes a successful chain validation of cert: before
+	// that instant (the validated chain's earliest NotAfter) the chain
+	// is not verified again. Reissue replaces cert and clears it.
+	chainUntil time.Time
 }
 
 // NewService creates a key service trusting the given roots for
@@ -101,24 +106,46 @@ func (s *Service) Locate(name string) (*KeyBinding, error) {
 
 // Validate reports the trust status of the named binding: Valid when
 // registered, unrevoked, and chain-valid to the service roots.
+// Revocation is checked on every call; a successful chain validation
+// is remembered until the chain's first certificate expires, since the
+// roots are fixed and intermediates are only ever added.
 func (s *Service) Validate(name string) (BindingStatus, error) {
 	s.mu.RLock()
 	b, ok := s.bindings[name]
+	var cert *x509.Certificate
+	var revoked bool
+	var until time.Time
+	if ok {
+		cert, revoked, until = b.cert, b.revoked, b.chainUntil
+	}
 	s.mu.RUnlock()
 	if !ok {
 		return StatusIndeterminate, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	if b.revoked {
+	if revoked {
 		return StatusInvalid, fmt.Errorf("%w: %q", ErrRevoked, name)
 	}
-	if s.roots != nil {
-		s.mu.RLock()
-		inter := append([]*x509.Certificate(nil), s.intermediates...)
-		s.mu.RUnlock()
-		if _, err := VerifyChain(b.cert, s.roots, inter...); err != nil {
-			return StatusInvalid, fmt.Errorf("keymgmt: chain validation for %q: %w", name, err)
+	if s.roots == nil || time.Now().Before(until) {
+		return StatusValid, nil
+	}
+	s.mu.RLock()
+	inter := append([]*x509.Certificate(nil), s.intermediates...)
+	s.mu.RUnlock()
+	chains, err := VerifyChain(cert, s.roots, inter...)
+	if err != nil {
+		return StatusInvalid, fmt.Errorf("keymgmt: chain validation for %q: %w", name, err)
+	}
+	until = cert.NotAfter
+	for _, c := range chains[0] {
+		if c.NotAfter.Before(until) {
+			until = c.NotAfter
 		}
 	}
+	s.mu.Lock()
+	if b.cert == cert {
+		b.chainUntil = until
+	}
+	s.mu.Unlock()
 	return StatusValid, nil
 }
 
@@ -149,8 +176,7 @@ func (s *Service) OnRevoke(fn func(name string)) {
 // fireRevoke snapshots the hook list under the read lock and invokes
 // each hook unlocked, so hooks may call back into the service. The
 // trust epoch advances before any hook runs: a hook that reads
-// Epoch() (the cluster origin does, to stamp its fan-out) must see
-// the post-revocation value.
+// Epoch() must see the post-revocation value.
 func (s *Service) fireRevoke(name string) {
 	s.epoch.Add(1)
 	s.mu.RLock()
@@ -216,6 +242,7 @@ func (s *Service) reissue(name string, cert *x509.Certificate, authenticator str
 	}
 	b.cert = cert
 	b.revoked = false
+	b.chainUntil = time.Time{}
 	return nil
 }
 

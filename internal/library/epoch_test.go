@@ -56,3 +56,64 @@ func TestAdvanceGlobalEpochMonotonic(t *testing.T) {
 		t.Errorf("epoch_stale = %d, want 2 (rollback and duplicate)", got)
 	}
 }
+
+// TestEpochsMarkOnlyNamedSigners pins the epoch model: a change naming
+// signer A kills A's verdicts only, a change naming no signer kills
+// all, and a change heard by a node that missed the ones before it
+// applies to every signer.
+func TestEpochsMarkOnlyNamedSigners(t *testing.T) {
+	var e library.Epochs
+	c := e.Bump("A")
+	if c.From != 0 || c.To != 1 || e.Epoch() != 1 {
+		t.Fatalf("Bump = %+v at epoch %d, want 0 -> 1", c, e.Epoch())
+	}
+	if e.Valid(0, "A") || !e.Valid(1, "A") || !e.Valid(0, "B") {
+		t.Fatal("a change naming A must kill A's earlier verdicts and no one else's")
+	}
+
+	var edge library.Epochs
+	if _, moved := edge.Apply(c); !moved || edge.Valid(0, "A") || !edge.Valid(0, "B") {
+		t.Fatal("an edge caught up to the change must apply it to A only")
+	}
+	// A change from epoch 3: the edge (at 1) missed 2 and 3, so it
+	// applies this one to every signer.
+	if _, moved := edge.Apply(library.TrustChange{From: 3, To: 4, Signers: []string{"C"}}); !moved || edge.Valid(3, "B") {
+		t.Fatal("a change after a gap must apply to every signer")
+	}
+	// A report of the epoch the edge already holds names no change.
+	if _, moved := edge.Apply(library.TrustChange{From: 4, To: 4}); moved || !edge.Valid(4, "B") {
+		t.Fatal("a report of the current epoch must move nothing")
+	}
+	// A delayed change below the epoch still marks its signer.
+	if _, moved := edge.Apply(library.TrustChange{From: 4, To: 5, Signers: []string{"D"}}); !moved {
+		t.Fatal("change 4 -> 5 did not move")
+	}
+	if _, moved := edge.Apply(library.TrustChange{From: 3, To: 5, Signers: []string{"E"}}); !moved || edge.Valid(4, "E") || !edge.Valid(4, "B") {
+		t.Fatal("a reordered change must still mark its own signer, and only it")
+	}
+	if _, moved := edge.Apply(library.TrustChange{To: 6}); !moved || edge.Valid(5, "B") {
+		t.Fatal("a change naming no signer must kill every earlier verdict")
+	}
+}
+
+// TestEpochsReplayRecentChanges: a node replaying another's recent
+// changes, whatever order it heard of them in, marks only the signers
+// they name; once the log no longer reaches back to its epoch, it
+// applies the gap to every signer.
+func TestEpochsReplayRecentChanges(t *testing.T) {
+	var origin, edge library.Epochs
+	origin.Bump("A")
+	origin.Bump("B")
+	if _, moved := edge.Apply(origin.Recent()...); !moved || edge.Epoch() != 2 {
+		t.Fatalf("replay moved=%v to epoch %d, want 2", moved, edge.Epoch())
+	}
+	if edge.Valid(0, "A") || !edge.Valid(1, "A") || edge.Valid(1, "B") || !edge.Valid(0, "C") {
+		t.Fatal("a replay must mark A and B and leave C alone")
+	}
+	origin.Seed(100)
+	origin.Bump("D")
+	edge.Apply(origin.Recent()...)
+	if edge.Epoch() != 101 || edge.Valid(100, "C") {
+		t.Fatal("a replay across a gap in the log must apply to every signer")
+	}
+}

@@ -19,8 +19,10 @@
 // — changes the canonical form and therefore misses the cache; keying
 // on the fingerprint of the key that validated SignatureValue (not the
 // mutable KeyName/CN hints) binds the verdict to the actual signer; and
-// the epoch pair (global + per-signer) lets a revocation flush every
-// dependent verdict without a global lock or a cache walk.
+// the trust epoch (Epochs: one sequence, global and per-signer marks)
+// lets a revocation flush every dependent verdict without a global lock
+// or a cache walk. The cache (Cache), singleflight (Flight) and epoch
+// model are generic and shared with the cluster tier's edges.
 //
 // Concurrency: lookups are lock-free per shard beyond one short mutex;
 // concurrent misses for the same digest collapse into a single
@@ -41,7 +43,6 @@ import (
 
 	"discsec/internal/c14n"
 	"discsec/internal/core"
-	"discsec/internal/cowmap"
 	"discsec/internal/disc"
 	"discsec/internal/keymgmt"
 	"discsec/internal/obs"
@@ -114,7 +115,8 @@ type Verdict struct {
 	// re-verified as soon as trust recovers.
 	Degraded bool
 
-	size int64
+	// epoch is the trust epoch read before the fill verified.
+	epoch uint64
 }
 
 // Library is a shared pool of verified verdicts. Construct with New;
@@ -124,27 +126,30 @@ type Library struct {
 	rec      *obs.Recorder
 	degraded func() bool
 
-	shards  []*shard
+	budget  int64
+	nshards int
+	cache   *Cache[*Verdict]
 	flights flightGroup
 
-	// globalEpoch versions the whole cache; bumping it invalidates
-	// every entry lazily (InvalidateAll).
-	globalEpoch atomic.Uint64
-	// signerEpochs versions each signer independently so one
-	// revocation flushes only that signer's verdicts. Copy-on-write:
-	// every cache lookup reads an epoch, and the signer population is
-	// tiny and stable next to the lookup rate, so reads must not box
-	// the fingerprint key the way sync.Map's Load(any) did.
-	signerEpochs cowmap.Map[string, *atomic.Uint64]
-	// invalGen counts every invalidation of any scope. Fills capture it
-	// before verifying and retry when it moved, so a revocation racing
-	// a fill can never be cached around.
-	invalGen atomic.Uint64
+	// epochs versions trust: a revocation marks only its signer, so it
+	// flushes only that signer's verdicts. Every change advances the
+	// epoch, and fills retry when it moved while they verified, so a
+	// revocation racing a fill can never be cached around.
+	epochs Epochs
+	// onChange is the trust-change hook (OnTrustChange).
+	onChange atomic.Pointer[func(TrustChange)]
+	// shared holds one copy of each name and short attribute value
+	// seen in filled verdicts (share).
+	sharedMu sync.Mutex
+	shared   map[string]string
 
 	// signerIndex maps trust-service binding names to the key
 	// fingerprints seen for them, for name-keyed revocation fan-out.
+	// signerMu also orders a fill's last epoch check against a
+	// name-keyed revocation (indexSigner, InvalidateSignerName).
 	signerMu    sync.Mutex
 	signerIndex map[string]map[string]struct{}
+	watched     atomic.Pointer[keymgmt.Service] // WatchTrust's last subscription
 
 	prewarmSem chan struct{}
 	mounts     sync.Map // name -> *mounted
@@ -176,7 +181,7 @@ func WithRecorder(rec *obs.Recorder) Option {
 func WithByteBudget(n int64) Option {
 	return func(l *Library) {
 		if n > 0 {
-			l.shardBudget(n)
+			l.budget = n
 		}
 	}
 }
@@ -186,7 +191,7 @@ func WithByteBudget(n int64) Option {
 func WithShards(n int) Option {
 	return func(l *Library) {
 		if n > 0 {
-			l.shards = newShards(n, defaultBudget)
+			l.nshards = n
 		}
 	}
 }
@@ -199,16 +204,14 @@ func WithDegradedFunc(fn func() bool) Option {
 	return func(l *Library) { l.degraded = fn }
 }
 
-// WithTrustService wires revocation fan-out: every successful Revoke or
-// Reissue on the service invalidates the affected signer's verdicts
-// before the call returns. If the opener has no KeyByName resolver yet,
-// the service's is installed.
+// WithTrustService wires revocation fan-out (WatchTrust). If the opener
+// has no KeyByName resolver yet, the service's is installed.
 func WithTrustService(svc *keymgmt.Service) Option {
 	return func(l *Library) {
 		if svc == nil {
 			return
 		}
-		svc.OnRevoke(l.InvalidateSignerName)
+		l.WatchTrust(svc)
 		if l.opener.KeyByName == nil {
 			l.opener.KeyByName = svc.PublicKeyByName
 		}
@@ -245,51 +248,24 @@ const (
 	// maxFillAttempts bounds re-verification when trust invalidations
 	// race a fill; after that the library fails closed.
 	maxFillAttempts = 3
+	// maxShared bounds the shared-string table, which content feeds.
+	maxShared = 4096
 )
 
 // New builds a shared verification library.
 func New(opts ...Option) *Library {
 	l := &Library{
-		shards:      newShards(defaultShards, defaultBudget),
+		budget:      defaultBudget,
+		nshards:     defaultShards,
 		signerIndex: make(map[string]map[string]struct{}),
 		prewarmSem:  make(chan struct{}, defaultWorkers),
+		shared:      make(map[string]string),
 	}
 	for _, o := range opts {
 		o(l)
 	}
+	l.cache = NewCache(l.nshards, l.budget, l.entryValid)
 	return l
-}
-
-func (l *Library) shardBudget(total int64) {
-	per := total / int64(len(l.shards))
-	if per < 1 {
-		per = 1
-	}
-	for _, s := range l.shards {
-		s.budget = per
-	}
-}
-
-//discvet:hotpath shard routing runs on every open
-func (l *Library) shardFor(key string) *shard {
-	// Keys are hex digests: fold the first two bytes for spread.
-	var h uint32
-	for i := 0; i < len(key) && i < 8; i++ {
-		h = h*31 + uint32(key[i])
-	}
-	return l.shards[int(h)%len(l.shards)]
-}
-
-// obsContext mirrors player.Engine: a recorder on the context wins,
-// otherwise the library's is attached for the verification layers.
-func (l *Library) obsContext(ctx context.Context) (context.Context, *obs.Recorder) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if rec := obs.FromContext(ctx); rec != nil {
-		return ctx, rec
-	}
-	return obs.WithRecorder(ctx, l.rec), l.rec
 }
 
 // OpenReader verifies a cluster document streamed from r through the
@@ -303,7 +279,7 @@ func (l *Library) obsContext(ctx context.Context) (context.Context, *obs.Recorde
 // re-verifying stale state; the caller retries with a fresh reader.
 // The byte-slice form, OpenDocument, re-parses and retries internally.
 func (l *Library) OpenReader(ctx context.Context, r io.Reader) (*Verdict, Status, error) {
-	ctx, rec := l.obsContext(ctx)
+	ctx, rec := obs.Attach(ctx, l.rec)
 	defer rec.Start(obs.StageLibrary).End()
 	if err := ctx.Err(); err != nil {
 		return nil, StatusMiss, err
@@ -321,7 +297,7 @@ func (l *Library) OpenReader(ctx context.Context, r io.Reader) (*Verdict, Status
 // verdict is cached for every later caller. Unsigned documents are
 // processed but never cached (StatusBypass).
 func (l *Library) OpenDocument(ctx context.Context, raw []byte) (*Verdict, Status, error) {
-	ctx, rec := l.obsContext(ctx)
+	ctx, rec := obs.Attach(ctx, l.rec)
 	defer rec.Start(obs.StageLibrary).End()
 	if err := ctx.Err(); err != nil {
 		return nil, StatusMiss, err
@@ -420,52 +396,36 @@ func (l *Library) open(ctx context.Context, rec *obs.Recorder, key string, doc *
 //
 //discvet:hotpath the warm-open path: millions of opens resolve here
 func (l *Library) lookup(rec *obs.Recorder, key string) (*Verdict, bool) {
-	sh := l.shardFor(key)
-	e := sh.get(key)
-	if e == nil {
-		return nil, false
+	v, ok, stale := l.cache.Get(key)
+	if stale {
+		rec.Inc("library.invalidated")
 	}
-	if !l.entryValid(e) {
-		if sh.removeEntry(e) {
-			rec.Inc("library.invalidated")
-		}
+	if !ok {
 		return nil, false
 	}
 	if l.degraded != nil && l.degraded() {
 		rec.Inc("library.degraded_serve")
-		rec.Audit(obs.AuditDegradedServe, "cached verdict %.12s served under degraded trust (signer %.12s)", key, e.v.Fingerprint)
+		rec.Audit(obs.AuditDegradedServe, "cached verdict %.12s served under degraded trust (signer %.12s)", key, v.Fingerprint)
 	}
-	return e.v, true
+	return v, true
 }
 
-// entryValid checks the entry's epochs against current trust: the
-// global epoch, the signer's epoch, and — for verdicts filled during a
-// trust outage — that the outage is still in effect (once trust
-// recovers such verdicts must be re-verified against live revocation
-// data).
+// entryValid checks a verdict against current trust: no trust change
+// naming its signer (or every signer) since its fill, and — for
+// verdicts filled during a trust outage — that the outage is still in
+// effect (once trust recovers such verdicts must be re-verified
+// against live revocation data).
 //
 //discvet:hotpath runs on every cache hit
-func (l *Library) entryValid(e *entry) bool {
-	if e.globalEpoch != l.globalEpoch.Load() {
+func (l *Library) entryValid(v *Verdict) bool {
+	if !l.epochs.Valid(v.epoch, v.Fingerprint) {
 		return false
 	}
-	if e.signerEpoch != l.signerEpochOf(e.v.Fingerprint).Load() {
-		return false
-	}
-	if e.v.Degraded && (l.degraded == nil || !l.degraded()) {
+	if v.Degraded && (l.degraded == nil || !l.degraded()) {
 		return false
 	}
 	return true
 }
-
-//discvet:hotpath epoch check on every warm-open lookup
-func (l *Library) signerEpochOf(fp string) *atomic.Uint64 {
-	return l.signerEpochs.GetOrCreate(fp, newEpoch)
-}
-
-// newEpoch is GetOrCreate's first-touch factory: a declared function
-// so the warm lookup path never builds a closure.
-func newEpoch() *atomic.Uint64 { return new(atomic.Uint64) }
 
 // fill runs the real verification and caches the verdict. It captures
 // the invalidation generation first and retries (bounded) whenever an
@@ -491,7 +451,7 @@ func (l *Library) fill(ctx context.Context, rec *obs.Recorder, key string, doc *
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		gen := l.invalGen.Load()
+		gen := l.epochs.Epoch()
 
 		if doc == nil {
 			if reparse == nil {
@@ -520,6 +480,7 @@ func (l *Library) fill(ctx context.Context, rec *obs.Recorder, key string, doc *
 			}
 			return nil, fmt.Errorf("library: verification: %w", err)
 		}
+		l.share(res.Doc)
 		cluster, err := decodeCluster(res.Doc)
 		if err != nil {
 			return nil, fmt.Errorf("library: decode cluster: %w", err)
@@ -537,7 +498,7 @@ func (l *Library) fill(ctx context.Context, rec *obs.Recorder, key string, doc *
 			Key:         key,
 			Fingerprint: primaryFingerprint(res),
 			Degraded:    degradedFill,
-			size:        size,
+			epoch:       gen,
 		}
 		if v.Fingerprint == "" && len(res.Signatures) == 0 {
 			// Unsigned: nothing worth sharing; hand back uncached.
@@ -545,22 +506,13 @@ func (l *Library) fill(ctx context.Context, rec *obs.Recorder, key string, doc *
 			return v, nil
 		}
 
-		ge := l.globalEpoch.Load()
-		se := l.signerEpochOf(v.Fingerprint).Load()
-		if l.invalGen.Load() != gen {
+		if !l.indexSigner(res, v.Fingerprint, gen) {
 			// Trust moved while we verified: the verdict may predate a
 			// revocation. Verify again under the new trust state.
 			rec.Inc("library.fill_retry")
 			continue
 		}
-		l.indexSigner(res, v.Fingerprint)
-		evicted := l.shardFor(key).put(&entry{
-			key:         key,
-			v:           v,
-			globalEpoch: ge,
-			signerEpoch: se,
-		})
-		if evicted > 0 {
+		if evicted := l.cache.Put(key, v, size); evicted > 0 {
 			rec.Add("library.evict", int64(evicted))
 		}
 		rec.Inc("library.miss")
@@ -569,14 +521,46 @@ func (l *Library) fill(ctx context.Context, rec *obs.Recorder, key string, doc *
 	return nil, ErrTrustChanged
 }
 
-// indexSigner records the binding names seen for a fingerprint so a
-// name-keyed revocation can find every dependent epoch.
-func (l *Library) indexSigner(res *core.OpenResult, fp string) {
-	if fp == "" {
-		return
+// share points the verified document's names and short attribute
+// values at one shared copy each, so resident verdicts do not each hold
+// the same vocabulary (element names, namespace and algorithm URIs).
+func (l *Library) share(doc *xmldom.Document) {
+	l.sharedMu.Lock()
+	defer l.sharedMu.Unlock()
+	one := func(s string) string {
+		if v, ok := l.shared[s]; ok {
+			return v
+		}
+		if len(s) <= 128 && len(l.shared) < maxShared {
+			l.shared[s] = s
+		}
+		return s
 	}
+	doc.Root().Walk(func(n xmldom.Node) bool {
+		if el, ok := n.(*xmldom.Element); ok {
+			el.Prefix, el.Local = one(el.Prefix), one(el.Local)
+			for i := range el.Attrs {
+				a := &el.Attrs[i]
+				a.Prefix, a.Local, a.Value = one(a.Prefix), one(a.Local), one(a.Value)
+			}
+		}
+		return true
+	})
+}
+
+// indexSigner records the binding names seen for a fingerprint, for
+// name-keyed revocation, unless the epoch moved off gen (then the fill
+// retries). Under InvalidateSignerName's lock, a revocation either
+// lands before this check or finds the fingerprint indexed.
+func (l *Library) indexSigner(res *core.OpenResult, fp string, gen uint64) bool {
 	l.signerMu.Lock()
 	defer l.signerMu.Unlock()
+	if l.epochs.Epoch() != gen {
+		return false
+	}
+	if fp == "" {
+		return true
+	}
 	for _, rep := range res.Signatures {
 		for _, name := range []string{rep.SignerName, rep.SignerCN} {
 			if name == "" {
@@ -590,6 +574,7 @@ func (l *Library) indexSigner(res *core.OpenResult, fp string) {
 			set[fp] = struct{}{}
 		}
 	}
+	return true
 }
 
 func primaryFingerprint(res *core.OpenResult) string {
@@ -631,88 +616,90 @@ func stripSecurityElements(doc *xmldom.Document) {
 	}
 }
 
-// InvalidateAll bumps the global trust epoch: every resident verdict
+// InvalidateAll bumps the global trust mark: every resident verdict
 // becomes unreachable immediately and is evicted lazily on next touch.
 func (l *Library) InvalidateAll() {
-	l.globalEpoch.Add(1)
-	l.invalGen.Add(1)
+	l.notify(l.epochs.Bump())
 	l.rec.Inc("library.invalidate_all")
 }
 
-// GlobalEpoch reports the library's current global trust epoch.
-// Cluster edges stamp replicated verdicts with it and compare against
-// the origin's announced epoch before serving.
-func (l *Library) GlobalEpoch() uint64 {
-	return l.globalEpoch.Load()
-}
+// GlobalEpoch reports the library's trust epoch, which advances on
+// every trust change; a cluster origin stamps its records with it.
+func (l *Library) GlobalEpoch() uint64 { return l.epochs.Epoch() }
 
-// AdvanceGlobalEpoch moves the global trust epoch forward to exactly
-// `to`, invalidating every resident verdict, and reports whether the
-// epoch moved. It is the wire-facing counterpart of InvalidateAll: a
-// revocation announcement replicated over the network can be
-// duplicated, delayed, or reordered, so the guard is forward-only — a
-// stale or replayed announcement (to <= current) is a no-op and can
-// never roll the epoch backward onto verdicts that a newer revocation
-// already killed.
+// AdvanceGlobalEpoch applies a change of every signer at epoch `to`
+// and reports whether anything moved: the wire-facing counterpart of
+// InvalidateAll. Forward-only, a stale or replayed `to` (at or below
+// the global mark) is a no-op and cannot revive a killed verdict.
 func (l *Library) AdvanceGlobalEpoch(to uint64) bool {
-	for {
-		cur := l.globalEpoch.Load()
-		if to <= cur {
-			l.rec.Inc("library.epoch_stale")
-			return false
-		}
-		if l.globalEpoch.CompareAndSwap(cur, to) {
-			l.invalGen.Add(1)
-			l.rec.Inc("library.epoch_advance")
-			return true
-		}
+	prev, moved := l.epochs.Apply(TrustChange{To: to})
+	if !moved {
+		l.rec.Inc("library.epoch_stale")
+		return false
 	}
-}
-
-// InvalidateSigner flushes every verdict signed by the fingerprinted
-// key — no global lock, no cache walk: the signer's epoch moves and
-// dependent entries die on their next lookup.
-func (l *Library) InvalidateSigner(fingerprint string) {
-	if fingerprint != "" {
-		l.signerEpochOf(fingerprint).Add(1)
-	}
-	l.invalGen.Add(1)
-	l.rec.Inc("library.invalidate_signer")
+	l.rec.Inc("library.epoch_advance")
+	l.notify(TrustChange{From: prev, To: to})
+	return true
 }
 
 // InvalidateSignerName flushes every verdict whose signature named the
-// binding (ds:KeyName or certificate CN). Wired to
-// keymgmt.Service.OnRevoke by WithTrustService. Even when the name is
-// unknown the invalidation generation moves, so an in-flight fill for a
-// not-yet-indexed signer still re-verifies.
+// binding (ds:KeyName or certificate CN); see WatchTrust. A name no
+// fill has indexed marks only itself (no fingerprint equals it): the
+// epoch moves, so fills in flight retry, but no verdict dies.
 func (l *Library) InvalidateSignerName(name string) {
 	l.signerMu.Lock()
-	var fps []string
+	fps := make([]string, 0, len(l.signerIndex[name]))
 	for fp := range l.signerIndex[name] {
 		fps = append(fps, fp)
 	}
-	l.signerMu.Unlock()
-	for _, fp := range fps {
-		l.signerEpochOf(fp).Add(1)
+	if len(fps) == 0 {
+		fps = append(fps, name)
 	}
-	l.invalGen.Add(1)
+	c := l.epochs.Bump(fps...)
+	l.signerMu.Unlock()
+	l.notify(c)
 	l.rec.Inc("library.invalidate_signer")
+}
+
+// WatchTrust makes every Revoke or Reissue on svc invalidate the
+// signer's verdicts before the call returns (watching svc again adds
+// nothing), and moves the epoch up to svc's change count, invalidating
+// nothing, so a restarted node never reports an epoch it reported before.
+func (l *Library) WatchTrust(svc *keymgmt.Service) {
+	if l.watched.Swap(svc) != svc {
+		svc.OnRevoke(l.InvalidateSignerName)
+	}
+	l.epochs.Seed(svc.Epoch())
+}
+
+// TrustChanges returns the library's last trust changes (Epochs.Recent).
+func (l *Library) TrustChanges() []TrustChange { return l.epochs.Recent() }
+
+// OnTrustChange sets fn (replacing any earlier hook) to run after each
+// trust change, synchronously and outside every library lock: a cluster
+// origin fans the change out to its edges from here.
+func (l *Library) OnTrustChange(fn func(TrustChange)) { l.onChange.Store(&fn) }
+
+func (l *Library) notify(c TrustChange) {
+	if fn := l.onChange.Load(); fn != nil {
+		(*fn)(c)
+	}
+}
+
+// Verdicts returns the resident verdicts that are still valid, in no
+// particular order (a cluster origin's bootstrap pull).
+func (l *Library) Verdicts() []*Verdict {
+	return l.cache.Values()
 }
 
 // Len reports resident entries (diagnostics and tests).
 func (l *Library) Len() int {
-	n := 0
-	for _, s := range l.shards {
-		n += s.len()
-	}
+	n, _ := l.cache.Stats()
 	return n
 }
 
 // SizeBytes reports resident verdict bytes (diagnostics and tests).
 func (l *Library) SizeBytes() int64 {
-	var n int64
-	for _, s := range l.shards {
-		n += s.sizeBytes()
-	}
-	return n
+	_, b := l.cache.Stats()
+	return b
 }

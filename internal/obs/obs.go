@@ -376,6 +376,19 @@ func FromContext(ctx context.Context) *Recorder {
 	return r
 }
 
+// Attach resolves the recorder for one call: a recorder already on ctx
+// wins; otherwise fallback (a component's configured recorder) is
+// attached so the layers below see it. A nil ctx becomes Background.
+func Attach(ctx context.Context, fallback *Recorder) (context.Context, *Recorder) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if r := FromContext(ctx); r != nil {
+		return ctx, r
+	}
+	return WithRecorder(ctx, fallback), fallback
+}
+
 // MemorySink is a Sink that retains every event in memory, for tests
 // and interactive debugging. Safe for concurrent use.
 type MemorySink struct {
